@@ -3,8 +3,9 @@
 §4.3: "The framework ... caches generated binaries.  If the same set of
 parameters is encountered, the previously generated kernel can be loaded
 quickly."  Keys combine a hash of the source, the sorted macro
-definitions, the target architecture, and the optimization level.  An
-optional on-disk layer persists modules across processes.
+definitions, the target architecture, the optimization level and a
+fingerprint of the compiler's own source.  An optional on-disk layer
+persists modules across processes.
 
 Robustness properties:
 
@@ -48,10 +49,38 @@ from repro.kernelc.compiler import CompiledModule, nvcc
 _FORMAT_VERSION = 2
 
 
+#: :func:`compiler_fingerprint`, once computed in this process.
+_FINGERPRINT: Optional[str] = None
+
+
+def compiler_fingerprint() -> str:
+    """sha256 of the ``repro.kernelc`` source files (the compiler).
+
+    Hashed lazily, once per process, and fed into every
+    :func:`cache_key`: a disk cache then never serves a module that an
+    older (or newer) compiler built.
+    """
+    global _FINGERPRINT
+    if _FINGERPRINT is None:
+        import repro.kernelc
+        root = os.path.dirname(os.path.abspath(repro.kernelc.__file__))
+        h = hashlib.sha256()
+        for dirpath, dirnames, files in os.walk(root):
+            dirnames.sort()
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                h.update(os.path.relpath(path, root).encode() + b"\0")
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+        _FINGERPRINT = h.hexdigest()
+    return _FINGERPRINT
+
+
 def cache_key(source: str, defines: Optional[Mapping[str, object]],
               arch: str, opt_level: int) -> str:
-    """Stable digest of one compilation request."""
+    """Stable digest of one compilation request (and the compiler)."""
     h = hashlib.sha256()
+    h.update(compiler_fingerprint().encode())
     h.update(source.encode())
     for name in sorted(defines or {}):
         h.update(f"-D{name}={(defines or {})[name]!r}".encode())

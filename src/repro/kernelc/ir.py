@@ -317,17 +317,26 @@ class RegFactory:
 def renumber(kernel: IRKernel) -> None:
     """Renumber virtual registers densely after passes (cosmetic)."""
     factory = RegFactory()
-    mapping: Dict[Reg, Reg] = {}
-
-    def remap(reg: Reg) -> Reg:
-        if reg not in mapping:
-            mapping[reg] = factory.new(reg.ctype)
-        return mapping[reg]
-
+    mapping: Dict[str, Reg] = {}
     for instr in kernel.instructions():
-        if instr.dst is not None:
-            instr.dst = remap(instr.dst)
-        instr.srcs = [remap(s) if isinstance(s, Reg) else s
-                      for s in instr.srcs]
-        if instr.pred is not None:
-            instr.pred = remap(instr.pred)
+        dst = instr.dst
+        if dst is not None:
+            new = mapping.get(dst.name)
+            if new is None:
+                new = mapping[dst.name] = factory.new(dst.ctype)
+            instr.dst = new
+        srcs = []
+        for s in instr.srcs:
+            if s.__class__ is Reg:
+                new = mapping.get(s.name)
+                if new is None:
+                    new = mapping[s.name] = factory.new(s.ctype)
+                s = new
+            srcs.append(s)
+        instr.srcs = srcs
+        pred = instr.pred
+        if pred is not None:
+            new = mapping.get(pred.name)
+            if new is None:
+                new = mapping[pred.name] = factory.new(pred.ctype)
+            instr.pred = new

@@ -9,11 +9,13 @@ blocking), and register-usage accounting.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.kernelc.ir import IRKernel, IRModule, renumber
 from repro.kernelc.passes.constfold import fold_kernel
-from repro.kernelc.passes.constprop import propagate_kernel
+from repro.kernelc.passes.constprop import (dce_kernel, propagate_kernel,
+                                            remove_unreachable)
 from repro.kernelc.passes.cse import cse_kernel
-from repro.kernelc.passes.dce import dce_kernel, remove_unreachable
 from repro.kernelc.passes.magicdiv import magic_divide_kernel
 from repro.kernelc.passes.regalloc import assign_registers
 from repro.kernelc.passes.scalarize import scalarize_kernel
@@ -21,32 +23,28 @@ from repro.kernelc.passes.strength import strength_reduce_kernel
 
 
 def optimize_kernel(kernel: IRKernel, opt_level: int = 3) -> None:
-    """Run the optimization pipeline on one kernel, in place."""
+    """Run the optimization pipeline on one kernel, in place.
+
+    ``propagate_kernel`` (the sparse middle end) reruns only after a
+    pass that can expose new constants.  *ids* interns register names
+    to integer ids for the passes before ``renumber`` renames them.
+    """
+    ids: Dict[str, int] = {}
     if opt_level >= 1:
-        _fold_fixpoint(kernel)
+        propagate_kernel(kernel, ids)
         if opt_level >= 2:
             strength_reduce_kernel(kernel)
             magic_divide_kernel(kernel)
-            cse_kernel(kernel)
-            _fold_fixpoint(kernel)
-        scalarize_kernel(kernel)
-        _fold_fixpoint(kernel)
+            cse_kernel(kernel, ids)
+            propagate_kernel(kernel, ids)
+        if scalarize_kernel(kernel):
+            propagate_kernel(kernel, ids)
         if opt_level >= 2:
-            cse_kernel(kernel)
-        dce_kernel(kernel)
+            cse_kernel(kernel, ids)
+        dce_kernel(kernel, ids)
         remove_unreachable(kernel)
     renumber(kernel)
     assign_registers(kernel)
-
-
-def _fold_fixpoint(kernel: IRKernel, max_rounds: int = 8) -> None:
-    for _ in range(max_rounds):
-        changed = fold_kernel(kernel)
-        changed |= propagate_kernel(kernel)
-        changed |= dce_kernel(kernel)
-        changed |= remove_unreachable(kernel)
-        if not changed:
-            break
 
 
 def run_pipeline(module: IRModule, opt_level: int = 3) -> None:

@@ -1,114 +1,108 @@
 """Local common-subexpression elimination with copy propagation.
 
 Within each basic block, pure instructions with identical opcodes and
-operands reuse the earlier result instead of recomputing it.  Registers
-are mutable, so an expression's availability ends when any of its input
-registers (or its result register) is redefined.  Register-to-register
-``mov`` copies are propagated locally so chains produced by earlier
-replacements collapse too; DCE then sweeps the dead movs.
-
-This keeps specialized kernels honest: unrolled loop bodies share their
-common address sub-expressions the way nvcc's PTX does, so the
-instruction-count comparison between RE and SK kernels reflects real
-toolchain behaviour rather than naive duplication.
+operands reuse the earlier result instead of recomputing it; an
+expression recorded before any of its registers (or its result) was
+redefined is stale.  Register-to-register ``mov`` copies propagate
+locally, so chains produced by earlier replacements collapse too (DCE
+sweeps the dead movs).  Unrolled loop bodies so share their common
+address sub-expressions the way nvcc's PTX does, and the RE-vs-SK
+instruction counts reflect real toolchain behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.kernelc.cfg import CFG
-from repro.kernelc.ir import COMMUTATIVE_OPS, Imm, Instr, IRKernel, Reg
+from repro.kernelc.ir import COMMUTATIVE_OPS, PURE_OPS, Imm, IRKernel, Reg
 
 
-def _operand_key(operand) -> Tuple:
-    if isinstance(operand, Reg):
-        return ("r", operand.name)
-    if isinstance(operand, Imm):
-        return ("i", repr(operand.value), operand.ctype.ptx_suffix())
-    return ("s", operand.name)
+def cse_kernel(kernel: IRKernel,
+               ids: Optional[Dict[str, int]] = None) -> bool:
+    """Eliminate redundant pure computations per block.  Keys are int
+    tuples: registers by id, anything else by a negative id."""
+    ids = {} if ids is None else ids
+    reg_of: Dict[int, Reg] = {}
+    consts: Dict[object, int] = {}
+    memo: Dict[object, int] = {}  # consts ids by value and type object
 
+    def const(key, text) -> int:
+        memo[key] = consts.setdefault(text, -1 - len(consts))
+        return memo[key]
 
-def _key(instr: Instr) -> Tuple:
-    srcs = instr.srcs
-    if instr.op in COMMUTATIVE_OPS and len(srcs) == 2:
-        a, b = srcs
-        if _operand_key(b) < _operand_key(a):
-            srcs = [b, a]
-    return (instr.op, instr.dtype.ptx_suffix(), instr.cmp,
-            tuple(_operand_key(s) for s in srcs))
-
-
-def cse_kernel(kernel: IRKernel) -> bool:
-    """Eliminate redundant pure computations per block."""
     cfg = CFG(kernel)
-    changed = False
+    changed, clock, defined = False, 0, {}
     for block in cfg.blocks:
-        available: Dict[Tuple, Reg] = {}
-        uses: Dict[str, List[Tuple]] = {}
-        copies: Dict[Reg, Reg] = {}
-        copy_rev: Dict[Reg, Set[Reg]] = {}
-
-        def resolve(reg: Reg) -> Reg:
-            seen = set()
-            while reg in copies and reg not in seen:
-                seen.add(reg)
-                reg = copies[reg]
-            return reg
-
-        def kill(reg: Reg) -> None:
-            # Invalidate expressions touching reg and copies through it.
-            for key in uses.pop(reg.name, []):
-                available.pop(key, None)
-            old = copies.pop(reg, None)
-            if old is not None:
-                copy_rev.get(old, set()).discard(reg)
-            for dependent in copy_rev.pop(reg, set()):
-                copies.pop(dependent, None)
-
-        for i in range(block.start, block.end):
-            instr = cfg.instrs[i]
-            new_srcs = []
-            for s in instr.srcs:
-                if isinstance(s, Reg):
-                    r = resolve(s)
-                    if r is not s:
-                        changed = True
-                    new_srcs.append(r)
+        available: Dict[Tuple, Tuple[int, int]] = {}
+        copies: Dict[int, int] = {}
+        copy_rev: Dict[int, Set[int]] = {}
+        for instr in cfg.instrs[block.start:block.end]:
+            operands, srcs = [], instr.srcs
+            for k, s in enumerate(srcs):
+                if s.__class__ is Reg:
+                    r = ids.setdefault(s.name, len(ids))
+                    if r in copies:
+                        srcs = list(srcs) if srcs is instr.srcs else srcs
+                        r = _resolve(copies, r)
+                        srcs[k], changed = reg_of[r], True
+                elif s.__class__ is Imm:
+                    v = s.value
+                    key = (v if v.__class__ is int else repr(v), id(s.ctype))
+                    r = memo.get(key)
+                    if r is None:
+                        r = const(key, (repr(v), s.ctype.ptx_suffix()))
                 else:
-                    new_srcs.append(s)
-            instr.srcs = new_srcs
+                    r = memo.get(s.name) or const(s.name, s.name)
+                operands.append(r)
+            instr.srcs = srcs
             if instr.pred is not None:
-                r = resolve(instr.pred)
-                if r is not instr.pred:
-                    instr.pred = r
-                    changed = True
-            dst = instr.dst
-            if dst is not None:
-                kill(dst)
-            if not instr.is_pure() or dst is None or instr.pred is not None:
+                r = ids.setdefault(instr.pred.name, len(ids))
+                if r in copies:
+                    instr.pred, changed = reg_of[_resolve(copies, r)], True
+            if instr.dst is None:
                 continue
-            if instr.op == "mov" and isinstance(instr.srcs[0], Reg):
-                src = instr.srcs[0]
-                if src != dst:
-                    copies[dst] = src
-                    copy_rev.setdefault(src, set()).add(dst)
+            # Redefining d retires what was computed from it (see the
+            # clock) and the copies it holds or sources.
+            d = ids.setdefault(instr.dst.name, len(ids))
+            clock += 1
+            defined[d] = clock
+            if d in copies:
+                copy_rev[copies.pop(d)].discard(d)
+            for dependent in copy_rev.pop(d, ()):
+                copies.pop(dependent, None)
+            op = instr.op
+            if op not in PURE_OPS or instr.pred is not None:
                 continue
-            key = _key(instr)
-            prior = available.get(key)
-            if prior is not None and prior != dst:
-                instr.op = "mov"
-                instr.cmp = ""
-                instr.srcs = [prior]
-                copies[dst] = prior
-                copy_rev.setdefault(prior, set()).add(dst)
+            if op == "mov" and operands[0] >= 0:
+                if operands[0] != d:
+                    copies[d], reg_of[operands[0]] = operands[0], srcs[0]
+                    copy_rev.setdefault(operands[0], set()).add(d)
+                continue
+            if op in COMMUTATIVE_OPS and len(operands) == 2 \
+                    and operands[1] < operands[0]:
+                operands.reverse()
+            sig = (op, id(instr.dtype), instr.cmp)
+            key = (memo.get(sig) or const(
+                sig, (op, instr.dtype.ptx_suffix(), instr.cmp)), *operands)
+            prior, stamp = available.get(key, (None, 0))
+            if prior is not None and all(defined.get(r, 0) <= stamp
+                                         for r in operands + [prior]):
+                instr.op, instr.cmp, instr.srcs = "mov", "", [reg_of[prior]]
+                copies[d] = prior
+                copy_rev.setdefault(prior, set()).add(d)
                 changed = True
-            elif dst not in instr.srcs:
-                available[key] = dst
-                for s in instr.srcs:
-                    if isinstance(s, Reg):
-                        uses.setdefault(s.name, []).append(key)
-                uses.setdefault(dst.name, []).append(key)
+            elif d not in operands:
+                available[key], reg_of[d] = (d, clock), instr.dst
     if changed:
         cfg.rebuild_body()
     return changed
+
+
+def _resolve(copies: Dict[int, int], r: int) -> int:
+    """Follow copy chains from *r* to the register it copies."""
+    seen = set()
+    while r in copies and r not in seen:
+        seen.add(r)
+        r = copies[r]
+    return r

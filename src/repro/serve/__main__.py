@@ -92,15 +92,10 @@ def main(argv=None) -> int:
         service.enable_tracing("serve-daemon")
     if args.flight_recorder:
         service.recorder.install_crash_dump(args.flight_recorder)
-    service.start()
-    server = ServiceServer(service, host=args.host,
-                           port=args.port).start()
-    host, port = server.address
-    print(f"serve: {host} {port}", flush=True)
-    print(f"workers={config.workers} queue={config.queue_capacity} "
-          f"breaker={config.breaker_threshold}@{config.breaker_reset}s",
-          flush=True)
 
+    # Handlers go in before anything starts: a signal that arrives while
+    # workers spawn, or right after the address is printed, must drain
+    # the daemon, not raise KeyboardInterrupt past the shutdown below.
     stop = threading.Event()
 
     def _signal(_signum, _frame):
@@ -108,6 +103,18 @@ def main(argv=None) -> int:
 
     signal.signal(signal.SIGINT, _signal)
     signal.signal(signal.SIGTERM, _signal)
+    service.start()
+    try:
+        server = ServiceServer(service, host=args.host,
+                               port=args.port).start()
+    except BaseException:
+        service.shutdown(drain=False)
+        raise
+    host, port = server.address
+    print(f"serve: {host} {port}", flush=True)
+    print(f"workers={config.workers} queue={config.queue_capacity} "
+          f"breaker={config.breaker_threshold}@{config.breaker_reset}s",
+          flush=True)
     try:
         stop.wait()
     finally:

@@ -27,6 +27,7 @@ by design.
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
 from typing import Dict
@@ -72,6 +73,10 @@ def _evaluate(msg, contexts: Dict[str, ExecutionContext]):
 def worker_main(worker_id: str, conn,
                 heartbeat_interval: float = 0.2) -> None:
     """Process entry point: serve requests until told to stop."""
+    # A forked worker inherits the daemon's SIGTERM handler, which only
+    # sets an event in the daemon; restore the default so SIGTERM ends
+    # the worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
     stop = threading.Event()
     beat = threading.Thread(

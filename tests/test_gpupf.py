@@ -137,6 +137,31 @@ class TestCache:
         assert m1 is not m2
         assert cache.misses == 2
 
+    def test_cache_key_carries_compiler_fingerprint(self, monkeypatch):
+        from repro.gpupf import cache as cache_mod
+        before = cache_mod.cache_key(SCALE_SRC, None, "sm_20", 3)
+        fingerprint = cache_mod.compiler_fingerprint()
+        assert len(fingerprint) == 64
+        assert cache_mod.compiler_fingerprint() is fingerprint  # memoized
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", "another-compiler")
+        assert cache_mod.cache_key(SCALE_SRC, None, "sm_20", 3) != before
+
+    def test_disk_entry_from_another_compiler_misses(self, tmp_path,
+                                                     monkeypatch):
+        from repro.gpupf import cache as cache_mod
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", "old-compiler")
+        old = KernelCache(disk_dir=str(tmp_path))
+        old.compile(SCALE_SRC)
+        assert old.misses == 1 and len(list(tmp_path.iterdir())) == 1
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", "new-compiler")
+        new = KernelCache(disk_dir=str(tmp_path))
+        new.compile(SCALE_SRC)
+        assert (new.hits, new.misses) == (0, 1)
+        # The same compiler still hits its own entry.
+        again = KernelCache(disk_dir=str(tmp_path))
+        again.compile(SCALE_SRC)
+        assert (again.hits, again.misses) == (1, 0)
+
     def test_stats_reports_corrupt_counter(self):
         cache = KernelCache()
         assert cache.stats() == {"hits": 0, "misses": 0, "corrupt": 0,
