@@ -64,14 +64,23 @@ def global_transactions(addrs: np.ndarray, mask: np.ndarray,
 _SENTINEL = np.iinfo(np.int64).max
 
 
-def _row_distinct(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Distinct masked values per row of a 2D array (sort + compare)."""
+def _row_uniques(values: np.ndarray,
+                 mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Row-sorted masked int64 values and a first-of-each-distinct flag.
+
+    Masked-off lanes sort to the end as a sentinel and are never
+    flagged, so ``flags.sum(axis=1)`` counts distinct active values.
+    """
     v = np.where(mask, values, _SENTINEL)
     v.sort(axis=1)
-    uniq = np.ones(v.shape, bool)
-    uniq[:, 1:] = v[:, 1:] != v[:, :-1]
-    uniq &= v != _SENTINEL
-    return uniq.sum(axis=1).astype(np.int64)
+    uniq = v != _SENTINEL
+    uniq[:, 1:] &= v[:, 1:] != v[:, :-1]
+    return v, uniq
+
+
+def _row_distinct(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Distinct masked values per row of a 2D int64 array."""
+    return _row_uniques(values, mask)[1].sum(axis=1).astype(np.int64)
 
 
 def global_transactions_batch(addrs: np.ndarray, mask: np.ndarray,
@@ -152,4 +161,28 @@ def shared_conflict_factor(addrs: np.ndarray, mask: np.ndarray,
         words = np.unique(group.astype(np.int64) // 4)
         counts = np.bincount(words % banks, minlength=1)
         worst = max(worst, int(counts.max()))
+    return worst
+
+
+def shared_conflict_factors_batch(addrs: np.ndarray, mask: np.ndarray,
+                                  itemsize: int,
+                                  device: DeviceSpec) -> np.ndarray:
+    """Per-member replay factors for a gang of shared-memory accesses.
+
+    The batched form of :func:`shared_conflict_factor`: *addrs* and
+    *mask* are ``(M, 32)`` arrays, and the result is the ``(M,)``
+    vector of factors the scalar model returns row by row — per lane
+    group, the distinct active words of each row (one row sort), then
+    the worst bank's count of them.
+    """
+    words = addrs.astype(np.int64) // 4
+    banks = device.shared_banks
+    M = len(words)
+    worst = 1
+    for lo, hi in device.shared_groups():
+        w, uniq = _row_uniques(words[:, lo:hi], mask[:, lo:hi])
+        rows = np.nonzero(uniq)[0]
+        counts = np.bincount(rows * banks + w[uniq] % banks,
+                             minlength=M * banks).reshape(M, banks)
+        worst = np.maximum(worst, counts.max(axis=1))
     return worst

@@ -10,8 +10,11 @@ for every block in the gang at once.
 
 Exactness is the contract: batched execution produces bit-identical
 device memory and identical per-warp statistics to the serial oracle.
-The gang therefore mirrors the serial interpreter operation for
-operation:
+Both engines execute instructions through one semantics core
+(:mod:`repro.gpusim.semantics`, over ``(M, 32)`` lane arrays; the
+serial block is its one-member case), so what an instruction computes
+and costs is defined once.  What this module adds is the gang
+scheduler, which mirrors the serial one decision for decision:
 
 * All members of a fragment share one program counter and one SIMT
   reconvergence stack (stack masks are (B, 32)).  Whenever a decision
@@ -21,11 +24,13 @@ operation:
   into sub-fragments that continue independently.  A fragment of one
   member is exactly the serial per-block path, so per-block fallback is
   the degenerate case of splitting rather than a separate code path.
-* Statistics accumulate in per-member arrays with the same sequence of
-  additions the serial path performs, so floating-point issue-cycle
-  totals match bit for bit.  Memory-transaction counts (coalescing,
-  bank conflicts, constant broadcasts) are computed per member with the
-  same :mod:`repro.gpusim.coalescing` routines.
+* Statistics accumulate in the core's per-member arrays (issue cycles
+  and memory traffic) and fragment-wide ints (every other counter:
+  all members of a fragment retire the same events) with the same
+  sequence of additions as a one-member run, so floating-point
+  issue-cycle totals match bit for bit.  Memory-transaction counts
+  (coalescing, bank conflicts, constant broadcasts) are computed per
+  member by the batch forms in :mod:`repro.gpusim.coalescing`.
 * Barriers rendezvous per block: the round scheduler releases waiting
   fragments only once no fragment in the batch can run, which releases
   every block that has fully arrived (blocks in a batch are
@@ -46,13 +51,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gpusim import coalescing
-from repro.gpusim.executor import (WARP, BlockStats, KernelPlan,
-                                   PlannedInstr, SimError, TextureBinding,
-                                   WarpStats, _BINARY, _CMP_FN, _UNARY,
-                                   _tex_address)
+from repro.gpusim.executor import (_CTAID_KEYS, BlockStats, KernelPlan,
+                                   LaneLayout, PlannedInstr, TextureBinding)
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import FlatMemory, GlobalMemory, MemoryError_
+from repro.gpusim.memory import FlatMemory, GlobalMemory
+from repro.gpusim.semantics import (FRAGMENT_STATS, MEMBER_STATS, WARP,
+                                    BlockResources, LaneCore, SimError,
+                                    WarpStats)
 from repro.kernelc.ir import IRKernel
 
 from repro.runtime.context import ENGINE_ENV, ENGINES, current_context
@@ -63,9 +68,6 @@ from repro.gpusim import trace as gang_trace
 #: (n_regs × batch × 32 × 8 bytes) while keeping the per-instruction
 #: Python overhead amortized over many blocks.
 DEFAULT_BATCH_BLOCKS = 128
-
-_LANE_IDS = np.arange(WARP, dtype=np.int64)
-_CTAID_KEYS = ("ctaid.x", "ctaid.y", "ctaid.z")
 
 
 def default_engine() -> str:
@@ -165,61 +167,14 @@ def run_blocks_batched(kernel: IRKernel, device: DeviceSpec,
     return stats
 
 
-class _GangProto:
-    """Launch-shape state shared by every gang of a kernel launch.
-
-    Everything a :class:`_GangWarp` needs that depends only on
-    ``(block_dim, grid_dim)`` — the per-warp-position special-register
-    lane arrays (all but ``ctaid.*``, which are member data) and each
-    warp position's partial-block row mask.  Prototypes are cached on
-    the :class:`~repro.gpusim.executor.KernelPlan`, so repeated
-    launches of one kernel — a sweep's sampled launches in particular
-    — reuse the gang fragments' lane layout instead of rebuilding it
-    per launch.
-    """
-
-    __slots__ = ("nthreads", "nwarps", "warps")
-
-    def __init__(self, device: DeviceSpec, block_dim, grid_dim):
-        bx, by, bz = block_dim
-        self.nthreads = bx * by * bz
-        if self.nthreads > device.max_threads_per_block:
-            raise SimError(
-                f"block of {self.nthreads} threads exceeds device limit "
-                f"{device.max_threads_per_block}")
-        self.nwarps = (self.nthreads + WARP - 1) // WARP
-        gx, gy, gz = grid_dim
-        self.warps = []
-        for wid in range(self.nwarps):
-            tids = (wid * WARP
-                    + np.arange(WARP, dtype=np.uint32)).astype(np.uint32)
-            row_mask = tids < self.nthreads
-            safe = np.where(row_mask, tids, 0)
-            specials = {
-                "tid.x": (safe % bx).astype(np.uint32),
-                "tid.y": ((safe // bx) % by).astype(np.uint32),
-                "tid.z": (safe // (bx * by)).astype(np.uint32),
-                "ntid.x": np.full(WARP, bx, np.uint32),
-                "ntid.y": np.full(WARP, by, np.uint32),
-                "ntid.z": np.full(WARP, bz, np.uint32),
-                "nctaid.x": np.full(WARP, gx, np.uint32),
-                "nctaid.y": np.full(WARP, gy, np.uint32),
-                "nctaid.z": np.full(WARP, gz, np.uint32),
-            }
-            for arr in specials.values():
-                arr.flags.writeable = False
-            row_mask.flags.writeable = False
-            self.warps.append((specials, row_mask))
-
-
 def _gang_proto(plan: KernelPlan, device: DeviceSpec, block_dim,
-                grid_dim, ctx=None) -> _GangProto:
+                grid_dim, ctx=None) -> LaneLayout:
     stats = (ctx or current_context()).gang_stats
     key = (block_dim, grid_dim)
     proto = plan.gang_protos.get(key)
     if proto is None:
         stats["misses"] += 1
-        proto = _GangProto(device, block_dim, grid_dim)
+        proto = LaneLayout(device, block_dim, grid_dim)
         plan.gang_protos[key] = proto
     else:
         stats["hits"] += 1
@@ -235,115 +190,18 @@ def gang_cache_stats(ctx=None) -> Dict[str, int]:
     return dict((ctx or current_context()).gang_stats)
 
 
-def _segmented_prefix(values: np.ndarray, starts: np.ndarray,
-                      lengths: np.ndarray,
-                      init: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sequential prefix chains ``[init, after 1 add, ...]`` per segment.
-
-    Returns ``(prefix, offsets)``: segment ``g``'s chain occupies
-    ``prefix[offsets[g] : offsets[g] + lengths[g] + 1]``.  Chains fold
-    strictly left to right (``np.add.accumulate``), so float rounding
-    matches a one-value-at-a-time serial loop bit for bit.  Segments
-    are bucketed by power-of-two chain length and accumulated as
-    zero-padded rows — padding sits past each chain's end and never
-    feeds a result, and total transient memory stays within ~2x the
-    event count regardless of how skewed the segment sizes are.
-    """
-    out_len = lengths + 1
-    offsets = np.zeros(starts.size, np.int64)
-    np.cumsum(out_len[:-1], dtype=np.int64, out=offsets[1:])
-    prefix = np.empty(int(out_len.sum()), values.dtype)
-    maxlen = int(out_len.max())
-    lower, upper = 0, 1
-    while lower < maxlen:
-        pick = (out_len > lower) & (out_len <= upper)
-        lower, upper = upper, upper * 2
-        if not pick.any():
-            continue
-        cols = lower
-        seg_starts = starts[pick]
-        seg_lens = lengths[pick]
-        buf = np.zeros((seg_starts.size, cols), values.dtype)
-        buf[:, 0] = init[pick]
-        if cols > 1:
-            ar = np.arange(cols - 1, dtype=np.int64)
-            gather = ar[None, :] < seg_lens[:, None]
-            buf[:, 1:][gather] = values[
-                (seg_starts[:, None] + ar[None, :])[gather]]
-        np.add.accumulate(buf, axis=1, out=buf)
-        ar = np.arange(cols, dtype=np.int64)
-        scatter = ar[None, :] < out_len[pick][:, None]
-        prefix[(offsets[pick][:, None] + ar[None, :])[scatter]] = \
-            buf[scatter]
-    return prefix, offsets
-
-
-def _ordered_atomic_add(view: np.ndarray, idx: np.ndarray,
-                        mask: np.ndarray,
-                        value: np.ndarray) -> np.ndarray:
-    """Gang-wide atomic read-add-write in exact serial member order.
-
-    Reproduces, bit for bit, the serial oracle's per-member loop
-
-        for i in range(M):                        # ascending block order
-            old[i] = view[idx[i]]                 # member snapshot
-            np.add.at(view, idx[i][mask[i]], value[i][mask[i]])
-
-    without iterating members in Python: additions are stably grouped
-    by address (flattened row-major position == serial order), each
-    address's chain is folded sequentially via :func:`_segmented_prefix`,
-    and every lane's old value samples its address's chain at the
-    position just before its own member's additions.  Inactive lanes
-    read element 0 at their member's snapshot, exactly as
-    ``element_index`` maps them in the serial path.
-    """
-    M, W = idx.shape
-    S = M * W
-    flat_idx = idx.reshape(-1)
-    flat_mask = mask.reshape(-1)
-    old = view[flat_idx]  # pre-instruction snapshot (fancy copy)
-    w_pos = np.nonzero(flat_mask)[0]
-    if w_pos.size:
-        order = np.argsort(flat_idx[w_pos], kind="stable")
-        w_pos = w_pos[order]
-        w_idx = flat_idx[w_pos]
-        w_val = value.reshape(-1)[w_pos]
-        head = np.ones(w_idx.size, bool)
-        head[1:] = w_idx[1:] != w_idx[:-1]
-        starts = np.nonzero(head)[0]
-        uaddr = w_idx[starts]
-        lengths = np.diff(np.append(starts, w_idx.size))
-        prefix, offsets = _segmented_prefix(w_val, starts, lengths,
-                                            view[uaddr])
-        # Per lane: how many additions to its address precede its
-        # member?  Counted with one searchsorted over composite
-        # (address, serial position) keys.
-        group = np.searchsorted(uaddr, flat_idx)
-        hit = np.zeros(S, bool)
-        in_range = group < uaddr.size
-        hit[in_range] = uaddr[group[in_range]] == flat_idx[in_range]
-        member_first = (np.arange(S, dtype=np.int64) // W) * W
-        before = np.searchsorted(w_idx * S + w_pos,
-                                 flat_idx * S + member_first)
-        k = before - starts[np.where(hit, group, 0)]
-        old[hit] = prefix[offsets[group[hit]] + k[hit]]
-        view[uaddr] = prefix[offsets + lengths]  # final chain values
-    return old.reshape(M, W)
-
-
 class _BlockCtx:
-    """Per-block resources shared by that block's fragments."""
+    """Per-block state shared by that block's fragments."""
 
-    __slots__ = ("block_idx", "slot", "smem", "warp_stats")
+    __slots__ = ("block_idx", "slot", "warp_stats")
 
-    def __init__(self, block_idx, slot, smem, nwarps):
+    def __init__(self, block_idx, slot, nwarps):
         self.block_idx = block_idx
         self.slot = slot
-        self.smem = smem
         self.warp_stats: List[Optional[WarpStats]] = [None] * nwarps
 
 
-class _Batch:
+class _Batch(BlockResources):
     """One gang of blocks executing a launch chunk in lockstep."""
 
     def __init__(self, kernel, device, gmem, cmem, args, indices,
@@ -355,47 +213,22 @@ class _Batch:
         self.device = device
         self.gmem = gmem
         self.cmem = cmem
-        self.args = args
         self.block_dim = block_dim
         self.grid_dim = grid_dim
         self.plan = plan
         self.ipdom = plan.ipdom
-        self.textures = textures
         self.proto = _gang_proto(plan, device, block_dim, grid_dim,
                                  ctx=ctx)
         self.nthreads = self.proto.nthreads
         self.nwarps = self.proto.nwarps
-        smem_bytes = kernel.shared_bytes + dynamic_smem
-        # All member blocks share one stacked byte buffer so gangs can
-        # gather/scatter shared memory in a single fancy index; each
-        # block still sees a private, serially-identical FlatMemory
-        # whose .data is a row of the stack.  Rows are padded to 16
-        # bytes so any element dtype tiles the stack exactly.
-        self.smem_row = max((smem_bytes + 15) // 16 * 16, 16)
-        self.smem_stack = np.zeros(len(indices) * self.smem_row,
-                                   np.uint8)
-        stack2d = self.smem_stack.reshape(len(indices), self.smem_row)
-        self.ctxs = []
-        for slot, bidx in enumerate(indices):
-            smem = FlatMemory(smem_bytes, "shared")
-            smem.data = stack2d[slot, :smem_bytes]
-            self.ctxs.append(_BlockCtx(bidx, slot, smem, self.nwarps))
-        self._smem_views: Dict = {}
-        self._param_arrays: Dict[Tuple[str, str], np.ndarray] = {}
-
-    def smem_view(self, dtype) -> np.ndarray:
-        """A typed view of the whole shared-memory stack.
-
-        Keyed by the dtype object itself: distinct spellings of one
-        dtype just memoize separate (identical) views, and the
-        ``np.dtype(...).str`` normalisation cost stays off the hot
-        path.
-        """
-        view = self._smem_views.get(dtype)
-        if view is None:
-            view = self.smem_stack.view(dtype)
-            self._smem_views[dtype] = view
-        return view
+        # All member blocks share one stacked shared-memory buffer, a
+        # row per block, so gangs gather/scatter it in a single fancy
+        # index.
+        self._init_resources(args, textures,
+                             kernel.shared_bytes + dynamic_smem,
+                             len(indices))
+        self.ctxs = [_BlockCtx(bidx, slot, self.nwarps)
+                     for slot, bidx in enumerate(indices)]
 
     def smem_view2(self, dtype, row_elems: int) -> np.ndarray:
         """A 2-D (slot, element) view of the shared-memory stack.
@@ -409,30 +242,6 @@ class _Batch:
             view = self.smem_stack.view(dtype).reshape(-1, row_elems)
             self._smem_views[key] = view
         return view
-
-    # Shared lookups (identical values for every member).
-
-    def texture_binding(self, name: str) -> TextureBinding:
-        binding = self.textures.get(name)
-        if binding is None:
-            raise SimError(
-                f"texture {name!r} is not bound — call "
-                "GPU.bind_texture() before launching")
-        return binding
-
-    def param_array(self, name: str, dtype) -> np.ndarray:
-        key = (name, np.dtype(dtype).str)
-        arr = self._param_arrays.get(key)
-        if arr is None:
-            try:
-                value = self.args[name]
-            except KeyError:
-                raise SimError(
-                    f"kernel argument {name!r} was not supplied")
-            arr = np.full(WARP, value, dtype=dtype)
-            arr.flags.writeable = False
-            self._param_arrays[key] = arr
-        return arr
 
     def run(self) -> List[BlockStats]:
         pool: List[_GangWarp] = [
@@ -480,64 +289,41 @@ class _Batch:
         return [BlockStats(warps=list(c.warp_stats)) for c in self.ctxs]
 
 
-#: Per-member event-counter vectors a gang warp carries; one name per
-#: :class:`~repro.gpusim.executor.WarpStats` field.  Any stat added to
-#: WarpStats must be counted here AND in the serial executor's matching
-#: path — the engines' bit-identity contract covers stats too.
-_GANG_STAT_NAMES = ("issue_cycles", "instructions", "mem_transactions",
-                    "mem_bytes", "global_stalls", "shared_stalls",
-                    "barriers", "divergent_branches", "atomics")
+class _GangWarp(LaneCore):
+    """One warp position of M blocks executing in lockstep.
 
+    Instruction semantics and per-member stat vectors come from
+    :class:`~repro.gpusim.semantics.LaneCore`; this class adds the gang
+    scheduler (splitting, the shared IPDOM stack) and trace hooks.
+    """
 
-class _GangWarp:
-    """One warp position of M blocks executing in lockstep."""
-
-    __slots__ = ("batch", "wid", "ctxs", "M", "slots", "lane_mask",
-                 "regs", "stack", "specials", "outstanding", "locals_",
-                 "finished", "at_barrier",
-                 "_rec", "_trace", "_trace_pos",
-                 "_sbase") + _GANG_STAT_NAMES
+    __slots__ = ("wid", "ctxs", "lane_mask", "stack", "finished",
+                 "at_barrier", "_rec", "_trace", "_trace_pos")
 
     def __init__(self, batch: _Batch, wid: int, ctxs: List[_BlockCtx]):
-        self.batch = batch
-        self.wid = wid
-        self.ctxs = ctxs
         M = len(ctxs)
-        self.M = M
         base_specials, row_mask = batch.proto.warps[wid]
         specials = dict(base_specials)
         for axis, key in enumerate(_CTAID_KEYS):
             specials[key] = np.array(
                 [c.block_idx[axis] for c in ctxs],
                 np.uint32).reshape(M, 1)
-        self.specials = specials
-        self.slots = np.array([c.slot for c in ctxs], np.int64)
+        self._init_core(batch, np.array([c.slot for c in ctxs], np.int64),
+                        specials)
+        self.wid = wid
+        self.ctxs = ctxs
         self.lane_mask = np.broadcast_to(row_mask, (M, WARP)).copy()
-        self.regs: List[Optional[np.ndarray]] = [None] * batch.plan.n_regs
         self.stack: List[list] = [
             [batch.plan.n, self.lane_mask.copy(), 0, True]]
-        self.outstanding: Dict[int, str] = {}
         self.finished = not row_mask.any()
         self.at_barrier = False
         self._rec = None
         self._trace = None
         self._trace_pos = 0
-        #: Per-itemsize shared-memory row-base vectors (trace engine);
-        #: derived from ``slots``, so splitting invalidates it.
-        self._sbase: Dict[int, np.ndarray] = {}
-        local_bytes = batch.kernel.local_bytes
-        self.locals_ = ([FlatMemory(local_bytes * WARP, "local")
-                         for _ in ctxs] if local_bytes else None)
-        self.issue_cycles = np.zeros(M, np.float64)
-        for name in _GANG_STAT_NAMES[1:]:
-            setattr(self, name, np.zeros(M, np.int64))
 
     def finalize(self) -> None:
         for i, ctx in enumerate(self.ctxs):
-            ctx.warp_stats[self.wid] = WarpStats(
-                issue_cycles=float(self.issue_cycles[i]),
-                **{name: int(getattr(self, name)[i])
-                   for name in _GANG_STAT_NAMES[1:]})
+            ctx.warp_stats[self.wid] = self._member_stats(i)
 
     # -- gang splitting ------------------------------------------------
 
@@ -571,8 +357,10 @@ class _GangWarp:
         sib._trace = None
         sib._trace_pos = 0
         sib._sbase = {}
-        for name in _GANG_STAT_NAMES:
+        for name in MEMBER_STATS:
             setattr(sib, name, getattr(self, name)[sel])
+        for name in FRAGMENT_STATS:
+            setattr(sib, name, getattr(self, name))
         return sib
 
     def _narrow(self, sel: np.ndarray) -> None:
@@ -590,48 +378,8 @@ class _GangWarp:
             self.specials[key] = self.specials[key][sel]
         if self.locals_:
             self.locals_ = [m for m, s in zip(self.locals_, sel) if s]
-        for name in _GANG_STAT_NAMES:
+        for name in MEMBER_STATS:
             setattr(self, name, getattr(self, name)[sel])
-
-    # -- operand plumbing ----------------------------------------------
-
-    def _read(self, desc) -> np.ndarray:
-        kind, payload, cast = desc
-        if kind == "r":
-            arr = self.regs[payload]
-            if arr is None:
-                arr = np.zeros((self.M, WARP),
-                               dtype=self.batch.plan._reg_dtypes[payload])
-                self.regs[payload] = arr
-            if cast is not None:
-                return arr.astype(cast)
-            return arr
-        if kind == "c":
-            return payload
-        arr = self.specials[payload]
-        if cast is not None and arr.dtype != cast:
-            return arr.astype(cast)
-        return arr
-
-    def _write(self, p: PlannedInstr, value: np.ndarray,
-               mask: np.ndarray, covers: bool) -> None:
-        if value.dtype != p.dst_dtype:
-            value = value.astype(p.dst_dtype)
-        if covers:
-            if value.shape != (self.M, WARP):
-                value = np.broadcast_to(value, (self.M, WARP))
-            self.regs[p.dst] = value
-        else:
-            old = self.regs[p.dst]
-            if old is None:
-                old = np.zeros((self.M, WARP), dtype=p.dst_dtype)
-            self.regs[p.dst] = np.where(mask, value, old)
-
-    def _full(self, arr: np.ndarray) -> np.ndarray:
-        """Broadcast a lane array to the gang's (M, 32) shape."""
-        if arr.shape != (self.M, WARP):
-            arr = np.broadcast_to(arr, (self.M, WARP))
-        return arr
 
     # -- main loop -----------------------------------------------------
 
@@ -698,7 +446,7 @@ class _GangWarp:
                 exec_mask = mask & self._full(pred != p.pred_neg)
                 exec_covers = False
             if op == "bra":
-                self.issue_cycles += p.cost
+                self._charge_issue(p.cost)
                 self.instructions += 1
                 self._branch(p, top, mask, pc, spawned)
                 continue
@@ -707,8 +455,8 @@ class _GangWarp:
                     raise SimError(
                         "__syncthreads() reached in divergent code — "
                         "undefined behaviour in CUDA, rejected here")
-                self.issue_cycles += p.cost or \
-                    batch.device.issue_cost["bar"]
+                self._charge_issue(p.cost
+                                   or batch.device.issue_cost["bar"])
                 self.instructions += 1
                 self.barriers += 1
                 self.outstanding.clear()
@@ -733,21 +481,6 @@ class _GangWarp:
                 self._rec.events.append(("x", pc, covers))
                 if len(self._rec.events) > gang_trace.MAX_EVENTS:
                     gang_trace.abort_recording(self)
-
-    def _score_read(self, p: PlannedInstr) -> None:
-        outstanding = self.outstanding
-        waited_g = waited_s = False
-        for idx in p.reg_srcs:
-            kind = outstanding.get(idx)
-            if kind is not None:
-                waited_g |= kind == "g"
-                waited_s |= kind == "s"
-        if waited_g:
-            self.global_stalls += 1
-            outstanding.clear()
-        elif waited_s:
-            self.shared_stalls += 1
-            outstanding.clear()
 
     def _terminate(self, mask: np.ndarray) -> None:
         self.lane_mask = self.lane_mask & ~mask
@@ -815,357 +548,3 @@ class _GangWarp:
         top[2] = reconv  # the join resumes here with the full mask
         self.stack.append([reconv, fall, pc + 1, False])
         self.stack.append([reconv, taken, target, False])
-
-    # -- instruction semantics -----------------------------------------
-
-    def _execute(self, p: PlannedInstr, mask: np.ndarray,
-                 covers: bool) -> None:
-        op = p.op
-        self.instructions += 1
-        if op in ("ld", "st", "atom"):
-            self._memory(p, mask, covers)
-            return
-        if op == "tex":
-            self._tex(p, mask, covers)
-            return
-        self.issue_cycles += p.cost
-        if not covers and not mask.any():
-            return
-        srcs = p.srcs
-        if op == "mov":
-            self._write(p, self._read(srcs[0]), mask, covers)
-            return
-        if op == "add":
-            self._write(p, self._read(srcs[0]) + self._read(srcs[1]),
-                        mask, covers)
-            return
-        if op == "mul":
-            self._write(p, self._read(srcs[0]) * self._read(srcs[1]),
-                        mask, covers)
-            return
-        if op == "sub":
-            self._write(p, self._read(srcs[0]) - self._read(srcs[1]),
-                        mask, covers)
-            return
-        if op == "setp":
-            a = self._read(srcs[0])
-            b = self._read(srcs[1])
-            self._write(p, _CMP_FN[p.cmp](a, b), mask, covers)
-            return
-        if op == "selp":
-            a = self._read(srcs[0])
-            b = self._read(srcs[1])
-            sel = self._read(srcs[2])
-            self._write(p, np.where(sel, a, b), mask, covers)
-            return
-        if op == "cvt":
-            self._cvt(p, mask, covers)
-            return
-        if op in _BINARY:
-            a = self._read(srcs[0])
-            b = self._read(srcs[1])
-            if p.is_bool and op in ("and", "or", "xor"):
-                fn = {"and": np.logical_and, "or": np.logical_or,
-                      "xor": np.logical_xor}[op]
-                self._write(p, fn(a, b), mask, covers)
-                return
-            self._write(p, _BINARY[op](a, b, p), mask, covers)
-            return
-        if op in ("mad", "fma"):
-            a = self._read(srcs[0])
-            b = self._read(srcs[1])
-            c = self._read(srcs[2])
-            self._write(p, a * b + c, mask, covers)
-            return
-        if op in _UNARY:
-            a = self._read(srcs[0])
-            if op == "not" and p.is_bool:
-                self._write(p, np.logical_not(a), mask, covers)
-                return
-            self._write(p, _UNARY[op](a, p), mask, covers)
-            return
-        raise SimError(f"unimplemented opcode {op!r}")
-
-    def _cvt(self, p: PlannedInstr, mask, covers) -> None:
-        value = self._read(p.srcs[0])
-        if p.ctype.is_integer and value.dtype.kind == "f":
-            if p.cmp.endswith(".rn"):
-                value = np.rint(value)
-            else:
-                value = np.trunc(value)
-            value = np.where(np.isfinite(value), value, 0.0)
-        self._write(p, value.astype(p.np_dtype), mask, covers)
-
-    # -- memory --------------------------------------------------------
-
-    def _memory(self, p: PlannedInstr, mask: np.ndarray,
-                covers: bool) -> None:
-        batch = self.batch
-        device = batch.device
-        space = p.space
-        if space == "param":
-            self.issue_cycles += p.cost
-            self._write(p, batch.param_array(p.param_name, p.np_dtype),
-                        mask, covers)
-            return
-        itemsize = p.itemsize
-        addrs = self._full(self._read(p.srcs[0]))
-        if addrs.dtype != np.uint64:
-            addrs = addrs.astype(np.uint64)
-        if p.op == "ld":
-            value = self._do_load(space, addrs, p, mask)
-            self._write(p, value, mask, covers)
-            if space in ("global", "local"):
-                self.outstanding[p.dst] = "g"
-            elif space == "shared":
-                self.outstanding[p.dst] = "s"
-            return
-        if p.op == "st":
-            value = self._full(self._read(p.srcs[1]))
-            self._do_store(space, addrs, value, p, mask)
-            return
-        # atom (only .add is generated)
-        if space not in ("global", "shared"):
-            raise SimError(f"atomicAdd on {space} memory")
-        value = self._full(self._read(p.srcs[1]))
-        if space == "global":
-            mem = batch.gmem
-            if mem._epoch is not None:
-                mem.note_lanes(addrs, mask, itemsize)
-            idx = mem.element_index(
-                addrs.reshape(-1), itemsize,
-                mask.reshape(-1)).reshape(self.M, WARP)
-            old = _ordered_atomic_add(mem.view(p.np_dtype), idx, mask,
-                                      value)
-        else:
-            # Member rows are disjoint in the stack, so reading every
-            # old value before any add matches the per-member order.
-            gidx = self._shared_index(addrs, mask, itemsize)
-            view = batch.smem_view(p.np_dtype)
-            old = view[gidx]
-            np.add.at(view, gidx[mask], value[mask])
-        self._write(p, old, mask, covers)
-        self.issue_cycles += device.issue_cost["atom"]
-        self.atomics += 1
-        if space == "global":
-            txns = self._global_txns(addrs, mask, itemsize)
-            self.mem_transactions += txns
-            self.mem_bytes += txns * 32
-            self.outstanding.clear()
-            self.global_stalls += 1  # atomics round-trip
-
-    def _global_txns(self, addrs, mask, itemsize) -> np.ndarray:
-        return coalescing.global_transactions_batch(
-            addrs, mask, itemsize, self.batch.device)
-
-    def _shared_index(self, addrs, mask, itemsize) -> np.ndarray:
-        """Element indices into the batch shared stack, validated.
-
-        Mirrors :meth:`FlatMemory.element_index` for every member at
-        once (sizes and labels are uniform across a launch), then
-        offsets each row into that member's slot of the stack.
-        """
-        size = self.ctxs[0].smem.size
-        offsets = addrs.astype(np.int64)
-        active = offsets[mask]
-        if active.size:
-            if (active < 0).any() or (active + itemsize > size).any():
-                raise MemoryError_(
-                    f"shared access out of bounds (size {size})")
-            if (active % itemsize).any():
-                raise MemoryError_("misaligned shared access")
-        idx = np.where(mask, offsets, 0) // itemsize
-        row = self.batch.smem_row // itemsize
-        return idx + (self.slots * row)[:, None]
-
-    def _shared_factors(self, addrs, mask) -> np.ndarray:
-        """Per-member bank-conflict replay factors, vectorised.
-
-        Same model as :func:`coalescing.shared_conflict_factor`: the
-        worst bank's count of distinct 32-bit words, per half-warp on
-        CC 1.x and per full warp on CC 2.x.
-        """
-        device = self.batch.device
-        banks = device.shared_banks
-        words = addrs.astype(np.int64) // 4
-        spans = device.shared_groups()
-        if len(spans) == 1:
-            groups = (mask,)
-        else:
-            groups = []
-            for lo, hi in spans:
-                m = mask.copy()
-                m[:, :lo] = False
-                m[:, hi:] = False
-                groups.append(m)
-        sentinel = np.iinfo(np.int64).max
-        worst = np.ones(self.M, np.int64)
-        for m in groups:
-            w = np.where(m, words, sentinel)
-            w.sort(axis=1)
-            uniq = np.ones(w.shape, bool)
-            uniq[:, 1:] = w[:, 1:] != w[:, :-1]
-            uniq &= w != sentinel
-            counts = np.zeros((self.M, banks), np.int64)
-            np.add.at(counts, (np.nonzero(uniq)[0], w[uniq] % banks), 1)
-            worst = np.maximum(worst, counts.max(axis=1))
-        return worst
-
-    def _do_load(self, space, addrs, p: PlannedInstr,
-                 mask) -> np.ndarray:
-        batch = self.batch
-        device = batch.device
-        itemsize = p.itemsize
-        M = self.M
-        if space == "global":
-            txns = self._global_txns(addrs, mask, itemsize)
-            line = device.coalesce_line_bytes()
-            self.mem_transactions += txns
-            self.mem_bytes += txns * line
-            self.issue_cycles += device.mem_issue_cost * \
-                np.maximum(txns, 1)
-            mem = batch.gmem
-            idx = mem.element_index(addrs.reshape(-1), itemsize,
-                                    mask.reshape(-1))
-            return mem.view(p.np_dtype)[idx].reshape(M, WARP)
-        if space == "shared":
-            factors = self._shared_factors(addrs, mask)
-            gidx = self._shared_index(addrs, mask, itemsize)
-            self.issue_cycles += device.issue_cost["shared"] * factors
-            return batch.smem_view(p.np_dtype)[gidx]
-        if space == "const":
-            # Distinct addresses per member (broadcast model), counted
-            # with a row sort; empty rows pay the single-broadcast cost.
-            sentinel = np.iinfo(np.int64).max
-            a = np.where(mask, addrs.astype(np.int64), sentinel)
-            a.sort(axis=1)
-            uniq = np.ones(a.shape, bool)
-            uniq[:, 1:] = a[:, 1:] != a[:, :-1]
-            uniq &= a != sentinel
-            distinct = np.maximum(uniq.sum(axis=1), 1)
-            self.issue_cycles += device.issue_cost["shared"] * distinct
-            mem = batch.cmem
-            idx = mem.element_index(addrs.reshape(-1), itemsize,
-                                    mask.reshape(-1))
-            return mem.view(p.np_dtype)[idx].reshape(M, WARP)
-        if space == "local":
-            return self._local_access(addrs, None, p, mask)
-        raise SimError(f"bad load space {space!r}")
-
-    def _do_store(self, space, addrs, value, p: PlannedInstr,
-                  mask) -> None:
-        batch = self.batch
-        device = batch.device
-        itemsize = p.itemsize
-        if value.dtype != p.np_dtype:
-            value = value.astype(p.np_dtype)
-        if space == "global":
-            txns = self._global_txns(addrs, mask, itemsize)
-            line = device.coalesce_line_bytes()
-            self.mem_transactions += txns
-            self.mem_bytes += txns * line
-            self.issue_cycles += device.mem_issue_cost * \
-                np.maximum(txns, 1)
-            mem = batch.gmem
-            if mem._epoch is not None:
-                mem.note_lanes(addrs, mask, itemsize)
-            flat_mask = mask.reshape(-1)
-            idx = mem.element_index(addrs.reshape(-1), itemsize,
-                                    flat_mask)
-            flat_value = np.ascontiguousarray(value).reshape(-1)
-            # Fancy assignment applies rows in member (= block) order,
-            # so duplicate addresses resolve as the serial path does.
-            mem.view(p.np_dtype)[idx[flat_mask]] = flat_value[flat_mask]
-            return
-        if space == "shared":
-            factors = self._shared_factors(addrs, mask)
-            gidx = self._shared_index(addrs, mask, itemsize)
-            # Row-major flattening keeps lane order within each member,
-            # so duplicate addresses resolve exactly as serial does.
-            batch.smem_view(p.np_dtype)[gidx[mask]] = value[mask]
-            self.issue_cycles += device.issue_cost["shared"] * factors
-            return
-        if space == "local":
-            self._local_access(addrs, value, p, mask)
-            return
-        if space == "const":
-            raise SimError("stores to constant memory are illegal")
-        raise SimError(f"bad store space {space!r}")
-
-    def _tex(self, p: PlannedInstr, mask, covers) -> None:
-        batch = self.batch
-        binding = batch.texture_binding(p.param_name)
-        itemsize = np.dtype(binding.np_dtype).itemsize
-        base_elem = batch.gmem.element_index(
-            np.full(WARP, binding.addr, np.uint64), itemsize,
-            np.ones(WARP, bool))[0]
-        view = batch.gmem.view(binding.np_dtype)
-
-        def fetch(ix, iy):
-            ixa, okx = _tex_address(ix, binding.width, binding.address)
-            if binding.height > 1:
-                iya, oky = _tex_address(iy, binding.height,
-                                        binding.address)
-            else:
-                iya, oky = np.zeros_like(ixa), np.ones_like(okx)
-            flat = base_elem + iya * binding.width + ixa
-            value = view[flat]
-            if binding.address == "border":
-                value = np.where(okx & oky, value, 0)
-            return value
-
-        if p.cmp == "1d":
-            idx = self._full(self._read(p.srcs[0])).astype(np.int64)
-            value = fetch(idx, None)
-        else:
-            x = self._full(self._read(p.srcs[0])).astype(np.float64)
-            y = self._full(self._read(p.srcs[1])).astype(np.float64)
-            if binding.filter == "point":
-                value = fetch(np.floor(x).astype(np.int64),
-                              np.floor(y).astype(np.int64))
-            else:
-                xb = x - 0.5
-                yb = y - 0.5
-                ix0 = np.floor(xb).astype(np.int64)
-                iy0 = np.floor(yb).astype(np.int64)
-                fx = (xb - ix0).astype(np.float32)
-                fy = (yb - iy0).astype(np.float32)
-                v00 = fetch(ix0, iy0)
-                v01 = fetch(ix0 + 1, iy0)
-                v10 = fetch(ix0, iy0 + 1)
-                v11 = fetch(ix0 + 1, iy0 + 1)
-                row0 = v00 * (1 - fx) + v01 * fx
-                row1 = v10 * (1 - fx) + v11 * fx
-                value = (row0 * (1 - fy) + row1 * fy).astype(
-                    binding.np_dtype)
-        self._write(p, np.asarray(value), mask, covers)
-        active = mask.sum(axis=1).astype(np.int64)
-        txns = np.maximum(1, (active * itemsize + 127) // 128 // 2 + 1)
-        self.mem_transactions += txns
-        self.mem_bytes += txns * 32
-        self.issue_cycles += batch.device.issue_cost["shared"]
-        self.outstanding[p.dst] = "g"
-
-    def _local_access(self, addrs, value, p: PlannedInstr, mask):
-        if self.locals_ is None:
-            raise SimError("kernel has no local memory but accesses it")
-        device = self.batch.device
-        itemsize = p.itemsize
-        offsets = addrs.astype(np.int64) + _LANE_IDS * \
-            (self.locals_[0].size // WARP)
-        active = mask.sum(axis=1).astype(np.int64)
-        txns = np.maximum(1, (active * itemsize + 127) // 128)
-        self.mem_transactions += txns
-        self.mem_bytes += txns * 128
-        self.issue_cycles += device.mem_issue_cost * txns
-        out = (np.empty((self.M, WARP), dtype=p.np_dtype)
-               if value is None else None)
-        off64 = offsets.astype(np.uint64)
-        for i, local in enumerate(self.locals_):
-            idx = local.element_index(off64[i], itemsize, mask[i])
-            view = local.view(p.np_dtype)
-            if value is None:
-                out[i] = view[idx]
-            else:
-                view[idx[mask[i]]] = value[i][mask[i]]
-        return out

@@ -32,13 +32,13 @@ How it works
   - ``SEG``: a generated Python function of inlined NumPy statements
     covering a run of straight-line instructions.  Arithmetic is
     emitted as direct array expressions; loads/stores/atomics/textures
-    call back into the interpreter's exact ``_memory``/``_tex``
-    helpers (they carry all transaction/stall modelling).  Scoreboard
-    stalls are *statically* simulated at compile time — the
-    ``outstanding`` dict is deterministic given the instruction
-    stream — and emitted as plain counter increments.  Per-instruction
-    ``issue_cycles`` additions are kept in original order so the
-    float64 chains match the interpreter bit for bit.
+    call back into the semantics core's ``_memory``/``_tex``
+    (:mod:`repro.gpusim.semantics`, which carries all transaction and
+    stall modelling).  Scoreboard stalls are *statically* simulated at
+    compile time — the ``outstanding`` dict is deterministic given the
+    instruction stream — and emitted as plain counter increments.
+    Per-instruction ``issue_cycles`` additions are kept in original
+    order so the float64 chains match the interpreter bit for bit.
   - ``BRA``: a guard.  It re-evaluates the predicate and checks every
     member still falls in the *recorded* branch class; on agreement it
     applies the branch (pushing taken/fall entries for a divergent
@@ -110,8 +110,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gpusim import coalescing
-from repro.gpusim.executor import (WARP, SimError, _BINARY, _UNARY)
-from repro.gpusim.memory import MemoryError_
+from repro.gpusim.semantics import WARP, SimError, _BINARY, _UNARY
 
 __all__ = ["GangTrace", "trace_cache_stats", "MAX_EVENTS"]
 
@@ -205,7 +204,8 @@ class _CompileAbort(Exception):
 # ---------------------------------------------------------------------
 
 def _reg_zeros(w, i):
-    """Materialize a never-written register, exactly like ``_read``."""
+    """Materialize a never-written register, exactly like the core's
+    ``_read``."""
     arr = np.zeros((w.M, WARP), dtype=w.batch.plan._reg_dtypes[i])
     w.regs[i] = arr
     return arr
@@ -298,50 +298,27 @@ def _glob_index(w, a, m, itemsize):
 
 
 def _ldg(w, p, a, m):
-    """Global load, inlined: mirrors ``_do_load(space='global')``."""
-    batch = w.batch
-    device = batch.device
-    itemsize = p.itemsize
-    txns, idx = _glob_index(w, a, m, itemsize)
-    line = device.coalesce_line_bytes()
-    w.mem_transactions += txns
-    w.mem_bytes += txns * line
-    w.issue_cycles += device.mem_issue_cost * np.maximum(txns, 1)
-    mem = batch.gmem
-    return mem.view(p.np_dtype)[idx].reshape(w.M, WARP)
+    """Global load, inlined: ``_do_load(space='global')`` with memoized
+    indexing, billed by the core's ``_charge_global``."""
+    txns, idx = _glob_index(w, a, m, p.itemsize)
+    w._charge_global(txns)
+    return w.batch.gmem.view(p.np_dtype)[idx].reshape(w.M, WARP)
 
 
 def _stg(w, p, a, v, m):
-    """Global store, inlined: mirrors ``_do_store(space='global')``."""
-    batch = w.batch
-    device = batch.device
-    itemsize = p.itemsize
+    """Global store, inlined: ``_do_store(space='global')`` with
+    memoized indexing, billed by the core's ``_charge_global``."""
     if v.dtype != p.np_dtype:
         v = v.astype(p.np_dtype)
+    itemsize = p.itemsize
     txns, idx = _glob_index(w, a, m, itemsize)
-    line = device.coalesce_line_bytes()
-    w.mem_transactions += txns
-    w.mem_bytes += txns * line
-    w.issue_cycles += device.mem_issue_cost * np.maximum(txns, 1)
-    mem = batch.gmem
+    w._charge_global(txns)
+    mem = w.batch.gmem
     if mem._epoch is not None:
         mem.note_lanes(a, m, itemsize)
     fm = m.reshape(-1)
     fv = np.ascontiguousarray(v).reshape(-1)
     mem.view(p.np_dtype)[idx[fm]] = fv[fm]
-
-
-def _srow_base(w, itemsize):
-    """Per-member shared-row element offsets, cached on the warp.
-
-    ``slots`` only changes when a fragment splits (which clears the
-    cache), so every shared access after the first reuses the vector.
-    """
-    base = w._sbase.get(itemsize)
-    if base is None:
-        base = (w.slots * (w.batch.smem_row // itemsize))[:, None]
-        w._sbase[itemsize] = base
-    return base
 
 
 def _srow_gidx(w, idx0, itemsize):
@@ -357,7 +334,7 @@ def _srow_gidx(w, idx0, itemsize):
     if buf is None or buf.shape[0] != w.M:
         buf = np.empty((w.M, WARP), np.int64)
         w._sbase[-1] = buf
-    return np.add(idx0, _srow_base(w, itemsize), out=buf)
+    return np.add(idx0, w._slot_base(itemsize), out=buf)
 
 
 #: Shared row-pattern memo entries per plan before the cache resets.
@@ -369,54 +346,30 @@ _ARANGE32 = np.arange(WARP, dtype=np.int64)
 def _shared_row(w, arow, mrow, itemsize, device):
     """Single-row shared factor + element index, memoized per plan.
 
-    Value-equivalent to ``_shared_factors``/``_shared_index`` on one
-    member row: callers only take this path after proving every row of
-    the gang carries identical addresses and mask, so the row-0 result
-    (a scalar conflict factor, a ``(32,)`` index vector) stands for
-    all members.  Shared access patterns are tid-derived and recur
-    identically across gangs, launches, and sweep jobs, so results are
-    cached on the plan keyed by the raw address/mask bytes (plus the
-    per-launch shared size, which scales the bounds check).
+    The core's ``shared_conflict_factors_batch`` and
+    ``_shared_offsets`` on one member row: callers only take this path
+    after proving every row of the gang carries identical addresses
+    and mask, so the row-0 result (a scalar conflict factor, a
+    ``(32,)`` index vector) stands for all members.  Shared access
+    patterns are tid-derived and recur identically across gangs,
+    launches, and sweep jobs, so results are cached on the plan keyed
+    by the raw address/mask bytes (plus the per-launch shared size,
+    which scales the bounds check).
 
     Returns ``(factor, idx0, start)``; *start* is the first element
     index when the row is a full-warp contiguous run (the coalesced
     common case, eligible for the row-slice fast path in
     ``_lds``/``_sts``), else ``None``.
     """
-    size = w.ctxs[0].smem.size
+    size = w.batch.smem_bytes
     cache = w.batch.plan.shared_rows
     key = (itemsize, size, arow.tobytes(), mrow.tobytes())
     hit = cache.get(key)
     if hit is not None:
         return hit
-    offs = arow.astype(np.int64)
-    active = offs[mrow]
-    if active.size:
-        if (active < 0).any() or (active + itemsize > size).any():
-            raise MemoryError_(
-                f"shared access out of bounds (size {size})")
-        if (active % itemsize).any():
-            raise MemoryError_("misaligned shared access")
-    idx0 = np.where(mrow, offs, 0) // itemsize
-    banks = device.shared_banks
-    words = offs // 4
-    spans = device.shared_groups()
-    if len(spans) == 1:
-        groups = (mrow,)
-    else:
-        groups = []
-        for lo, hi in spans:
-            g = mrow.copy()
-            g[:lo] = False
-            g[hi:] = False
-            groups.append(g)
-    worst = 1
-    for g in groups:
-        act = words[g]
-        if act.size:
-            distinct = np.unique(act)
-            counts = np.bincount(distinct % banks, minlength=banks)
-            worst = max(worst, int(counts.max()))
+    idx0 = w._shared_offsets(arow[None], mrow[None], itemsize)[0]
+    worst = int(coalescing.shared_conflict_factors_batch(
+        arow[None], mrow[None], itemsize, device)[0])
     start = None
     if mrow.all() and (idx0 == idx0[0] + _ARANGE32).all():
         # Full-warp contiguous run: every element index was bounds-
@@ -446,7 +399,7 @@ def _shared_cols(w, arow, itemsize, device):
     masked ``where``), and per-conflict-group ``(lo, hi, l2w, w2b)``
     matrices.
     """
-    size = w.ctxs[0].smem.size
+    size = w.batch.smem_bytes
     cache = w.batch.plan.shared_rows
     key = (0, itemsize, size, arow.tobytes())
     hit = cache.get(key)
@@ -482,7 +435,7 @@ def _pat_key(a, m, itemsize, size) -> tuple:
     return (itemsize, size, a.tobytes(), np.packbits(m).tobytes())
 
 
-def _shared_pattern(w, key, a, m, itemsize, size):
+def _shared_pattern(w, key, a, m, itemsize):
     """Compute and memoize general-path shared factors/indices.
 
     Divergent kernels with ctaid-derived shared addressing (the
@@ -494,16 +447,9 @@ def _shared_pattern(w, key, a, m, itemsize, size):
     idx)`` with ``idx`` still missing the per-member slot offsets.
     """
     cache = w.batch.plan.shared_pats
-    factors = w._shared_factors(a, m)
-    offs = a.astype(np.int64)
-    active = offs[m]
-    if active.size:
-        if (active < 0).any() or (active + itemsize > size).any():
-            raise MemoryError_(
-                f"shared access out of bounds (size {size})")
-        if (active % itemsize).any():
-            raise MemoryError_("misaligned shared access")
-    idx = np.where(m, offs, 0) // itemsize
+    factors = coalescing.shared_conflict_factors_batch(
+        a, m, itemsize, w.batch.device)
+    idx = w._shared_offsets(a, m, itemsize)
     if len(cache) >= _SHPAT_CAP:
         cache.clear()
     cache[key] = (factors, idx)
@@ -533,8 +479,8 @@ def _shared_col_factors(w, m, mats):
 
     ``(m @ l2w) > 0`` marks, per member, which distinct words have at
     least one active lane; ``@ w2b`` counts them per bank.  Matches
-    ``_shared_factors`` bit for bit (distinct active words, worst
-    bank, floor of one).
+    ``shared_conflict_factors_batch`` bit for bit (distinct active
+    words, worst bank, floor of one).
     """
     worst = np.ones(w.M, np.int64)
     for lo, hi, l2w, w2b in mats:
@@ -578,7 +524,7 @@ def _lds(w, p, a, m, rowsafe, auni):
             return view2[w.slots, start:start + WARP]
         gidx = _srow_gidx(w, idx0, itemsize)
         return batch.smem_view(p.np_dtype)[gidx]
-    size = w.ctxs[0].smem.size
+    size = w.batch.smem_bytes
     pkey = _pat_key(a, m, itemsize, size)
     hit = batch.plan.shared_pats.get(pkey)
     if hit is None:
@@ -589,12 +535,12 @@ def _lds(w, p, a, m, rowsafe, auni):
             if badlane is None or not (m & badlane).any():
                 factors = _shared_col_factors(w, m, mats)
                 gidx = (np.where(m, idx0, 0)
-                        + _srow_base(w, itemsize))
+                        + w._slot_base(itemsize))
                 w.issue_cycles += device.issue_cost["shared"] * factors
                 return batch.smem_view(p.np_dtype)[gidx]
             # An active lane faults: fall through so the general
             # path raises its exact diagnostic.
-        hit = _shared_pattern(w, pkey, a, m, itemsize, size)
+        hit = _shared_pattern(w, pkey, a, m, itemsize)
     factors, idx = hit
     gidx = _srow_gidx(w, idx, itemsize)
     w.issue_cycles += device.issue_cost["shared"] * factors
@@ -631,7 +577,7 @@ def _sts(w, p, a, v, m, rowsafe, auni):
             view[gidx[m]] = v[m]
         w.issue_cycles += device.issue_cost["shared"] * f
         return
-    size = w.ctxs[0].smem.size
+    size = w.batch.smem_bytes
     pkey = _pat_key(a, m, itemsize, size)
     hit = batch.plan.shared_pats.get(pkey)
     if hit is None:
@@ -642,11 +588,11 @@ def _sts(w, p, a, v, m, rowsafe, auni):
             if badlane is None or not (m & badlane).any():
                 factors = _shared_col_factors(w, m, mats)
                 gidx = (np.where(m, idx0, 0)
-                        + _srow_base(w, itemsize))
+                        + w._slot_base(itemsize))
                 batch.smem_view(p.np_dtype)[gidx[m]] = v[m]
                 w.issue_cycles += device.issue_cost["shared"] * factors
                 return
-        hit = _shared_pattern(w, pkey, a, m, itemsize, size)
+        hit = _shared_pattern(w, pkey, a, m, itemsize)
     factors, idx = hit
     gidx = _srow_gidx(w, idx, itemsize)
     batch.smem_view(p.np_dtype)[gidx[m]] = v[m]
@@ -958,7 +904,7 @@ class _Compiler:
 
     # -- per-op lowering ----------------------------------------------
 
-    def _memory(self, pc: int, p, covers: bool) -> None:
+    def _lower_memory(self, pc: int, p, covers: bool) -> None:
         space = p.space
         if p.op in ("ld", "st") and space in ("global", "shared"):
             self._mem_inline(pc, p, covers, space)
@@ -1020,8 +966,8 @@ class _Compiler:
                     space: str) -> None:
         """Lower a global/shared ld/st to a direct helper call.
 
-        The helpers replicate the interpreter's ``_do_load`` /
-        ``_do_store`` accounting statement for statement; shared ops
+        The global helpers bill through the core's ``_charge_global``,
+        the step ``_do_load`` / ``_do_store`` take; shared ops
         additionally get the row-uniform fast path (``rowsafe`` is
         compile-time truth that the executing mask rows are uniform:
         the op runs unpredicated under the covering entry mask).
@@ -1062,13 +1008,13 @@ class _Compiler:
                 f"_sts(w, P[{pc}], {a}, {val}, {em}, {rowsafe}, "
                 f"{auni})")
 
-    def _tex(self, pc: int, p, covers: bool) -> None:
+    def _lower_tex(self, pc: int, p, covers: bool) -> None:
         em, ec = self._emask(p, covers)
         self.pending.append(f"w._tex(P[{pc}], {em}, {ec})")
         self.out[p.dst] = "g"
         self._reload_dst(p)
 
-    def _cvt(self, pc: int, p, covers: bool) -> None:
+    def _lower_cvt(self, pc: int, p, covers: bool) -> None:
         desc = p.srcs[0]
         a = self._rd(desc, pc, 0)
         v = self._tmp()
@@ -1112,7 +1058,7 @@ class _Compiler:
             sel = rd(2)
             expr = f"np.where({sel}, {a}, {b})"
         elif op == "cvt":
-            self._cvt(pc, p, covers)
+            self._lower_cvt(pc, p, covers)
             return
         elif op in ("mad", "fma"):
             a, b = rd(0), rd(1)
@@ -1166,9 +1112,9 @@ class _Compiler:
         self._score_emit(p)
         op = p.op
         if op in ("ld", "st", "atom"):
-            self._memory(pc, p, covers)
+            self._lower_memory(pc, p, covers)
         elif op == "tex":
-            self._tex(pc, p, covers)
+            self._lower_tex(pc, p, covers)
         else:
             self._arith(pc, p, covers)
         self.pend_instr += 1

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.gpusim import TESLA_C1060, TESLA_C2070
 from repro.gpusim.coalescing import (global_transactions,
                                      global_transactions_batch,
-                                     shared_conflict_factor)
+                                     shared_conflict_factor,
+                                     shared_conflict_factors_batch)
 
 FULL = np.ones(32, dtype=bool)
 
@@ -149,3 +150,51 @@ class TestSharedBanks:
         for dev in (TESLA_C1060, TESLA_C2070):
             f = shared_conflict_factor(addrs, mask, 4, dev)
             assert 1 <= f <= len(words)
+
+
+class TestBatchedSharedBanks:
+    """shared_conflict_factors_batch rows ≡ the scalar oracle, per member."""
+
+    @pytest.mark.parametrize("itemsize", [1, 4, 8])
+    @pytest.mark.parametrize("device", [TESLA_C1060, TESLA_C2070],
+                             ids=["cc13", "cc20"])
+    def test_random_rows_match_oracle(self, itemsize, device):
+        rng = np.random.default_rng(2000 + itemsize)
+        M = 64
+        addrs = (rng.integers(0, 1024, (M, 32)) * rng.integers(
+            1, 5, (M, 32)) * itemsize).astype(np.uint64)
+        mask = rng.random((M, 32)) < 0.8
+        mask[0] = False          # fully inactive member
+        mask[1] = True           # fully active member
+        mask[2, 16:] = False     # one idle half-warp
+        mask[3, :16] = False     # the other idle half-warp
+        batch = shared_conflict_factors_batch(addrs, mask, itemsize,
+                                              device)
+        for i in range(M):
+            assert batch[i] == shared_conflict_factor(
+                addrs[i], mask[i], itemsize, device), i
+
+    @pytest.mark.parametrize("device", [TESLA_C1060, TESLA_C2070],
+                             ids=["cc13", "cc20"])
+    def test_structured_rows_match_oracle(self, device):
+        # One member per classic regime, stacked into a single gang.
+        lanes = np.arange(32, dtype=np.int64)
+        rng = np.random.default_rng(8)
+        rows = [lanes * 4,                     # stride 1 (words)
+                lanes * 8,                     # stride 2
+                lanes * 64,                    # stride 16
+                lanes * 68,                    # stride 17 (padded)
+                lanes * 128,                   # stride 32
+                np.full(32, 64, np.int64),     # broadcast
+                rng.permutation(32) * 4,       # permuted, no conflict
+                lanes * 64,                    # stride 16, half idle
+                lanes * 128]                   # stride 32, all idle
+        addrs = np.stack(rows).astype(np.uint64)
+        mask = np.ones(addrs.shape, bool)
+        mask[7, 16:] = False
+        mask[8] = False
+        batch = shared_conflict_factors_batch(addrs, mask, 4, device)
+        assert batch[8] == 1
+        for i in range(len(rows)):
+            assert batch[i] == shared_conflict_factor(addrs[i], mask[i],
+                                                      4, device), i
